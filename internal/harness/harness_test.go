@@ -251,6 +251,36 @@ func TestSimInterDCLabelComputedFromTopology(t *testing.T) {
 	}
 }
 
+// TestSimConnsRecordsStartedFlows: on both engines Conns() reports every
+// started connection in scheduling order, across several Schedule calls —
+// the classic engine used to keep the nil slots it copied before the flows
+// started.
+func TestSimConnsRecordsStartedFlows(t *testing.T) {
+	for _, shards := range []int{0, 1} {
+		sim, err := NewSimShards(5, smallTopo(), StackUnoECMP(), shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perDC := sim.Topo.Cfg.HostsPerDC()
+		first := sim.Schedule([]workload.FlowSpec{
+			{Src: 0, Dst: 5, Size: 64 << 10},
+			{Src: 1, Dst: perDC + 3, Size: 64 << 10, Start: eventq.Millisecond},
+		})
+		second := sim.Schedule([]workload.FlowSpec{{Src: perDC + 1, Dst: 2, Size: 64 << 10}})
+		sim.Run(400 * eventq.Millisecond)
+		want := append(append([]*transport.Conn{}, first...), second...)
+		got := sim.Conns()
+		if len(got) != len(want) {
+			t.Fatalf("shards=%d: Conns() has %d entries, want %d", shards, len(got), len(want))
+		}
+		for i, c := range got {
+			if c == nil || c != want[i] {
+				t.Fatalf("shards=%d: Conns()[%d] = %p, Schedule returned %p", shards, i, c, want[i])
+			}
+		}
+	}
+}
+
 func TestFig1IsAnalytic(t *testing.T) {
 	r := Fig1(Config{})
 	if len(r.Tables) != 1 || len(r.Tables[0].Rows) != 8 {

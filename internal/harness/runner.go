@@ -250,14 +250,18 @@ func (s *Sim) Schedule(specs []workload.FlowSpec) []*transport.Conn {
 		s.conns = append(s.conns, conns...)
 		return conns
 	}
+	// The start closures fill both the returned slice and this Sim's own
+	// record, which holds copies of the still-nil slots until then.
+	base := len(s.conns)
+	s.conns = append(s.conns, conns...)
 	for i, spec := range specs {
 		i, spec := i, spec
 		s.pending++
 		s.Net.Sched.Schedule(spec.Start, func() {
 			conns[i] = s.startFlow(spec)
+			s.conns[base+i] = conns[i]
 		})
 	}
-	s.conns = append(s.conns, conns...)
 	return conns
 }
 

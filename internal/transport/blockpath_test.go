@@ -18,8 +18,8 @@ func assertInFlightConsistent(t *testing.T, conn *Conn) {
 	t.Helper()
 	var want int64
 	for seq := range conn.state {
-		if conn.state[seq].inFlight {
-			want += int64(conn.sched[seq].wire)
+		if conn.state[seq].is(inFlight) {
+			want += int64(conn.wireSize(int64(seq)))
 		}
 	}
 	if conn.inFlight != want {
@@ -33,18 +33,18 @@ func assertInFlightConsistent(t *testing.T, conn *Conn) {
 // TestTailBlockScheduleAccounting pins the tail-block audit verdict: a flow
 // whose last block holds fewer than EC.Data packets gets a correctly shrunk
 // block (count, dataCount, start), parity sized to the block's largest
-// payload, and a receiver blockStart that stays valid because only the last
+// payload, and a closed-form block start that stays valid because only the last
 // block can be short. Not a bug — this test keeps it that way.
 func TestTailBlockScheduleAccounting(t *testing.T) {
 	for _, size := range []int64{1, 4096, 19 * 4096, 19*4096 - 100, 8*4096 + 1, 64 * 4096} {
 		p := Params{MTU: 4096, EC: ECConfig{Data: 8, Parity: 2}}.withDefaults()
-		descs, blocks := buildSchedule(size, p)
+		descs, blocks := expand(newSchedule(size, p))
 		full := int64(p.EC.Data + p.EC.Parity)
 		nData := (size + int64(p.MTU) - 1) / int64(p.MTU)
 		var payload int64
 		for b, blk := range blocks {
 			// All blocks before the last are full, so the receiver's
-			// blockStart(b) = b*(Data+Parity) assumption holds.
+			// start(b) = b*(Data+Parity) assumption holds.
 			if blk.start != int64(b)*full {
 				t.Fatalf("size %d block %d start %d, want %d", size, b, blk.start, int64(b)*full)
 			}
@@ -140,20 +140,20 @@ func TestSatisfyBlockThenStaleAck(t *testing.T) {
 	// Declare seq 1 lost exactly the way onRTO does: released from the
 	// window, queued for retransmission, not yet re-sent.
 	st := &conn.state[1]
-	if !st.inFlight {
+	if !st.is(inFlight) {
 		t.Fatal("seq 1 not in flight")
 	}
-	st.inFlight = false
-	st.lossPending = true
+	st.clear(inFlight)
+	st.set(lossPending)
 	conn.inFlight -= int64(conn.wireSize(1))
 	conn.rtxQ = append(conn.rtxQ, 1)
 	assertInFlightConsistent(t, conn)
 
 	conn.satisfyBlock(0)
-	blk := conn.blocks[0]
+	blk := conn.sched.block(0)
 	for seq := blk.start; seq < blk.start+int64(blk.count); seq++ {
 		s := conn.state[seq]
-		if !s.dontCare || s.inFlight || s.lossPending {
+		if !s.is(dontCare) || s.is(inFlight|lossPending) {
 			t.Fatalf("seq %d not released: %+v", seq, s)
 		}
 	}
@@ -200,10 +200,10 @@ func TestSatisfyBlockThenRTO(t *testing.T) {
 
 	// Let real RTOs fire and declare the rest lost.
 	d.net.Sched.RunUntil(5 * eventq.Millisecond)
-	blk := conn.blocks[0]
+	blk := conn.sched.block(0)
 	for seq := blk.start; seq < blk.start+int64(blk.count); seq++ {
 		s := conn.state[seq]
-		if s.lossPending || s.inFlight {
+		if s.is(lossPending | inFlight) {
 			t.Fatalf("satisfied seq %d re-declared: %+v", seq, s)
 		}
 		if s.rtxCount > 1 {
@@ -222,7 +222,7 @@ func TestAckBlockOutOfRangeIgnored(t *testing.T) {
 	params.EC = ECConfig{Data: 8, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
 	conn := openPartial(t, d, params.withDefaults())
 
-	for _, b := range []int32{9999, int32(len(conn.blocks))} {
+	for _, b := range []int32{9999, int32(conn.sched.blocks())} {
 		ack := d.net.AllocPacket()
 		ack.Type = netsim.Ack
 		ack.Flow = 1

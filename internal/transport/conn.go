@@ -10,18 +10,35 @@ import (
 	"uno/internal/rng"
 )
 
-// pktState tracks one schedule entry at the sender.
+// pktState tracks one schedule entry at the sender. It is the sender's
+// only per-packet state, so it is kept at 16 bytes (TestPktStateSize).
 type pktState struct {
-	sentAt      eventq.Time
-	entropy     uint32
-	subflow     int8
-	sent        bool
-	acked       bool
-	dontCare    bool // block satisfied without this packet; never (re)send
-	inFlight    bool
-	lossPending bool // queued for retransmission, not yet re-sent
-	rtxCount    uint8
+	sentAt   eventq.Time
+	entropy  uint32
+	subflow  int8
+	flags    pktFlags
+	rtxCount uint8
 }
+
+// pktFlags is a set of per-packet sender flags.
+type pktFlags uint8
+
+const (
+	sent        pktFlags = 1 << iota
+	acked                // acknowledged at least once
+	dontCare             // block satisfied without this packet; never (re)send
+	inFlight             // counted in Conn.inFlight
+	lossPending          // queued for retransmission, not yet re-sent
+)
+
+// is reports whether any flag of f is set.
+func (s *pktState) is(f pktFlags) bool { return s.flags&f != 0 }
+
+// set raises the flags of f.
+func (s *pktState) set(f pktFlags) { s.flags |= f }
+
+// clear lowers the flags of f.
+func (s *pktState) clear(f pktFlags) { s.flags &^= f }
 
 // ConnStats are cumulative sender-side counters.
 type ConnStats struct {
@@ -47,9 +64,11 @@ type Conn struct {
 	cc     CongestionControl
 	lb     PathSelector
 
-	sched  []pktDesc
-	blocks []blockDesc
-	state  []pktState
+	sched schedule
+	// minted holds the fountain repair entries appended past the static
+	// schedule: entry seq >= sched.n lives at minted[seq-sched.n].
+	minted []pktDesc
+	state  []pktState // one per schedule entry, static and minted
 
 	nextNew  int64   // next never-sent schedule index
 	rtxQ     []int64 // retransmission queue (schedule indices)
@@ -103,7 +122,7 @@ type Conn struct {
 
 // newConn builds (but does not start) a sender.
 func newConn(ep *Endpoint, flow *Flow, params Params, cc CongestionControl, lb PathSelector, onDone func(*Conn)) *Conn {
-	sched, blocks := buildSchedule(flow.Size, params)
+	sched := newSchedule(flow.Size, params)
 	c := &Conn{
 		ep:     ep,
 		flow:   flow,
@@ -111,21 +130,21 @@ func newConn(ep *Endpoint, flow *Flow, params Params, cc CongestionControl, lb P
 		cc:     cc,
 		lb:     lb,
 		sched:  sched,
-		blocks: blocks,
-		state:  make([]pktState, len(sched)),
+		state:  make([]pktState, sched.n),
 		cwnd:   params.InitialCwnd,
 		onDone: onDone,
 	}
-	if len(blocks) > 0 {
-		c.blockAcked = make([]int16, len(blocks))
-		c.blockSatisfied = make([]bool, len(blocks))
+	if nb := sched.blocks(); nb > 0 {
+		c.blockAcked = make([]int16, nb)
+		c.blockSatisfied = make([]bool, nb)
 	}
 	if params.EC.Fountain() {
+		nb := sched.blocks()
 		c.fountain = ec.MustNewFountain(params.EC.Data, params.EC.Parity)
-		c.extraSeqs = make([][]int64, len(blocks))
-		c.nextSymID = make([]int16, len(blocks))
-		for b, blk := range blocks {
-			c.nextSymID[b] = blk.count // ids 0..count-1 are scheduled
+		c.extraSeqs = make([][]int64, nb)
+		c.nextSymID = make([]int16, nb)
+		for b := range c.nextSymID {
+			c.nextSymID[b] = sched.block(int64(b)).count // ids 0..count-1 are scheduled
 		}
 	}
 	if c.cwnd <= 0 {
@@ -214,13 +233,22 @@ func (c *Conn) FCT() eventq.Time { return c.fct }
 // MTUWire returns the wire size of a full data packet.
 func (c *Conn) MTUWire() int { return c.params.MTU + HeaderSize }
 
-// TotalPkts returns the schedule length (data + parity packets).
-func (c *Conn) TotalPkts() int64 { return int64(len(c.sched)) }
+// TotalPkts returns the schedule length (data + parity packets, including
+// minted fountain repair entries).
+func (c *Conn) TotalPkts() int64 { return int64(len(c.state)) }
 
 // ---- sending ----
 
+// desc returns schedule entry seq, static or minted.
+func (c *Conn) desc(seq int64) pktDesc {
+	if seq < c.sched.n {
+		return c.sched.at(seq)
+	}
+	return c.minted[seq-c.sched.n]
+}
+
 // wireSize returns the wire size of schedule entry seq.
-func (c *Conn) wireSize(seq int64) int { return c.sched[seq].wire }
+func (c *Conn) wireSize(seq int64) int { return c.desc(seq).wire }
 
 // nextToSend picks the next schedule index to transmit: retransmissions
 // first, then fresh packets. Returns -1 when nothing is eligible.
@@ -228,13 +256,13 @@ func (c *Conn) nextToSend() int64 {
 	for len(c.rtxQ) > 0 {
 		seq := c.rtxQ[0]
 		st := &c.state[seq]
-		if st.acked || st.dontCare || st.inFlight || !st.lossPending {
+		if st.is(acked|dontCare|inFlight) || !st.is(lossPending) {
 			c.rtxQ = c.rtxQ[1:]
 			continue
 		}
 		return seq
 	}
-	for c.nextNew < int64(len(c.sched)) {
+	for c.nextNew < int64(len(c.state)) {
 		seq := c.nextNew
 		// Skip don't-care entries, plus entries the fresh-packet cursor
 		// does not own: fountain-appended repair symbols are dispatched
@@ -242,7 +270,7 @@ func (c *Conn) nextToSend() int64 {
 		// afterwards), so the cursor steps over them. Fixed schedules
 		// never mark an entry past nextNew sent or lossPending, so this
 		// is behavior-identical under SchemeRS.
-		if st := &c.state[seq]; st.dontCare || st.sent || st.lossPending {
+		if st := &c.state[seq]; st.is(dontCare | sent | lossPending) {
 			c.nextNew++
 			continue
 		}
@@ -298,7 +326,7 @@ func (c *Conn) armSendEvent(at eventq.Time) {
 
 // transmit puts schedule entry seq on the wire.
 func (c *Conn) transmit(seq int64) {
-	d := &c.sched[seq]
+	d := c.desc(seq)
 	st := &c.state[seq]
 	p := c.ep.host.Network().AllocPacket()
 	p.Type = netsim.Data
@@ -309,7 +337,7 @@ func (c *Conn) transmit(seq int64) {
 	p.Seq = seq
 	p.ECNCapable = true
 	p.SentAt = c.Now()
-	p.IsRtx = st.sent
+	p.IsRtx = st.is(sent)
 	p.Block = d.block
 	p.BlockIdx = d.blockIdx
 	p.IsParity = d.parity
@@ -319,7 +347,7 @@ func (c *Conn) transmit(seq int64) {
 	}
 	c.lb.Assign(c, p)
 
-	if st.sent {
+	if p.IsRtx {
 		c.stats.PktsRetrans++
 	} else {
 		c.lastProgress = p.SentAt
@@ -328,10 +356,10 @@ func (c *Conn) transmit(seq int64) {
 	st.sentAt = p.SentAt
 	st.entropy = p.Entropy
 	st.subflow = p.Subflow
-	st.sent = true
-	st.lossPending = false
-	if !st.inFlight { // probes may re-send an already-counted packet
-		st.inFlight = true
+	st.set(sent)
+	st.clear(lossPending)
+	if !st.is(inFlight) { // probes may re-send an already-counted packet
+		st.set(inFlight)
 		c.inFlight += int64(d.wire)
 	}
 	if st.rtxCount < 255 {
@@ -344,9 +372,9 @@ func (c *Conn) transmit(seq int64) {
 		c.maxSentEnd = seq + 1
 	}
 	c.flow.Src.Send(p)
-	// p.IsRtx captured st.sent before this transmission, so !p.IsRtx means
-	// the entry just went out for the first time. appendRepair may grow
-	// c.sched/c.state; d and st are not touched past this point.
+	// p.IsRtx captured the sent flag before this transmission, so !p.IsRtx
+	// means the entry just went out for the first time. appendRepair may
+	// grow c.minted/c.state; st is not touched past this point.
 	if c.fountain != nil && !p.IsRtx && d.parity && d.block >= 0 {
 		c.maybeProactiveRepair(d.block, seq)
 	}
@@ -358,7 +386,7 @@ func (c *Conn) transmit(seq int64) {
 // if the loss EWMA says the scheduled Parity likely won't survive, extra
 // fresh symbols are minted now instead of waiting for the NACK round trip.
 func (c *Conn) maybeProactiveRepair(b int32, seq int64) {
-	blk := c.blocks[b]
+	blk := c.sched.block(int64(b))
 	if seq != blk.start+int64(blk.count)-1 || len(c.extraSeqs[b]) > 0 || c.blockSatisfied[b] {
 		return
 	}
@@ -408,16 +436,10 @@ func (c *Conn) noteLossSample(lost, total int) {
 // queued on the retransmission queue for priority dispatch, and inherits
 // the block's repair wire size. No-op once the BlockIdx id space runs out.
 func (c *Conn) appendRepair(b int32, n int) {
-	blk := c.blocks[b]
-	// Repair symbols are sized like the block's largest payload — the
-	// block's last scheduled entry if it is a parity packet, else the
-	// largest data packet (Parity == 0 schedules no repair entries).
-	wire := 0
-	for seq := blk.start; seq < blk.start+int64(blk.count); seq++ {
-		if w := c.sched[seq].wire; w > wire {
-			wire = w
-		}
-	}
+	blk := c.sched.block(int64(b))
+	// Repair symbols are sized like the block's largest payload, as its
+	// scheduled parity packets are.
+	wire := c.sched.maxPayload(int64(b)) + HeaderSize
 	limit := int16(c.fountain.MaxSymbols(int(blk.dataCount)) - 1)
 	for i := 0; i < n; i++ {
 		id := c.nextSymID[b]
@@ -425,11 +447,11 @@ func (c *Conn) appendRepair(b int32, n int) {
 			return
 		}
 		c.nextSymID[b] = id + 1
-		seq := int64(len(c.sched))
-		c.sched = append(c.sched, pktDesc{
+		seq := int64(len(c.state))
+		c.minted = append(c.minted, pktDesc{
 			payload: 0, wire: wire, block: b, blockIdx: id, parity: true,
 		})
-		c.state = append(c.state, pktState{lossPending: true})
+		c.state = append(c.state, pktState{flags: lossPending})
 		c.extraSeqs[b] = append(c.extraSeqs[b], seq)
 		c.rtxQ = append(c.rtxQ, seq)
 	}
@@ -501,7 +523,7 @@ func (c *Conn) onRTO() {
 	scanEnd := c.lossScanEnd()
 	for seq := c.lowestUnacked; seq < scanEnd; seq++ {
 		st := &c.state[seq]
-		if st.inFlight && !st.acked && !st.dontCare {
+		if st.is(inFlight) && !st.is(acked|dontCare) {
 			if oldest < 0 || st.sentAt < oldestAt {
 				oldest, oldestAt = seq, st.sentAt
 			}
@@ -516,13 +538,13 @@ func (c *Conn) onRTO() {
 		outstanding, declared := 0, 0
 		for seq := c.lowestUnacked; seq < scanEnd; seq++ {
 			st := &c.state[seq]
-			if st.acked || st.dontCare || st.lossPending || !st.inFlight {
+			if st.is(acked|dontCare|lossPending) || !st.is(inFlight) {
 				continue
 			}
 			outstanding++
 			if st.sentAt <= cutoff {
-				st.inFlight = false
-				st.lossPending = true
+				st.clear(inFlight)
+				st.set(lossPending)
 				c.inFlight -= int64(c.wireSize(seq))
 				c.rtxQ = append(c.rtxQ, seq)
 				declared++
@@ -531,7 +553,7 @@ func (c *Conn) onRTO() {
 		if c.fountain != nil && declared > 0 {
 			c.noteLossSample(declared, outstanding)
 		}
-	case c.nextNew >= int64(len(c.sched)) && len(c.rtxQ) == 0:
+	case c.nextNew >= int64(len(c.state)) && len(c.rtxQ) == 0:
 		// Everything sent and acknowledged but no FlowDone: probe.
 		c.probeFinalAck()
 	}
@@ -543,7 +565,7 @@ func (c *Conn) onRTO() {
 
 // probeFinalAck re-sends the last schedule entry to solicit a FlowDone.
 func (c *Conn) probeFinalAck() {
-	seq := int64(len(c.sched)) - 1
+	seq := int64(len(c.state)) - 1
 	c.transmit(seq)
 }
 
@@ -581,12 +603,12 @@ func (c *Conn) handleAck(p *netsim.Packet) {
 		// congested queue. Queue an immediate retransmission and let the
 		// policies treat it as a congestion/path signal.
 		c.stats.TrimNotices++
-		if !st.acked && !st.dontCare && !st.lossPending {
-			if st.inFlight {
-				st.inFlight = false
+		if !st.is(acked | dontCare | lossPending) {
+			if st.is(inFlight) {
+				st.clear(inFlight)
 				c.inFlight -= int64(c.wireSize(seq))
 			}
-			st.lossPending = true
+			st.set(lossPending)
 			c.rtxQ = append(c.rtxQ, seq)
 		}
 		c.cc.OnNack(c)
@@ -617,18 +639,19 @@ func (c *Conn) handleAck(p *netsim.Packet) {
 
 	// Any ACK for a packet we believe is in flight removes it from the
 	// in-flight accounting, including probes of already-acked packets.
-	if st.inFlight {
-		st.inFlight = false
-		c.inFlight -= int64(c.wireSize(seq))
+	d := c.desc(seq)
+	if st.is(inFlight) {
+		st.clear(inFlight)
+		c.inFlight -= int64(d.wire)
 	}
-	if !st.acked {
-		st.acked = true
-		st.lossPending = false
-		info.Bytes = c.wireSize(seq)
+	if !st.is(acked) {
+		st.set(acked)
+		st.clear(lossPending)
+		info.Bytes = d.wire
 		c.stats.BytesAcked += int64(info.Bytes)
 		c.rtoBackoff = 0
 		c.lastProgress = now
-		if d := &c.sched[seq]; d.block >= 0 && !st.dontCare {
+		if d.block >= 0 && !st.is(dontCare) {
 			c.blockAcked[d.block]++
 		}
 	}
@@ -677,11 +700,11 @@ func (c *Conn) updateRTT(rtt eventq.Time) {
 // nextToSend once dontCare; in-flight bytes are released exactly once here
 // (lossPending entries were already released when they were declared lost).
 func (c *Conn) satisfyBlock(b int32) {
-	if b < 0 || int(b) >= len(c.blocks) || c.blockSatisfied[b] {
+	if b < 0 || int64(b) >= c.sched.blocks() || c.blockSatisfied[b] {
 		return
 	}
 	c.blockSatisfied[b] = true
-	blk := c.blocks[b]
+	blk := c.sched.block(int64(b))
 	c.releaseDontCare(blk.start, blk.start+int64(blk.count))
 	if c.extraSeqs != nil {
 		for _, seq := range c.extraSeqs[b] {
@@ -695,13 +718,13 @@ func (c *Conn) satisfyBlock(b int32) {
 func (c *Conn) releaseDontCare(lo, hi int64) {
 	for seq := lo; seq < hi; seq++ {
 		st := &c.state[seq]
-		if st.acked || st.dontCare {
+		if st.is(acked | dontCare) {
 			continue
 		}
-		st.dontCare = true
-		st.lossPending = false
-		if st.inFlight {
-			st.inFlight = false
+		st.set(dontCare)
+		st.clear(lossPending)
+		if st.is(inFlight) {
+			st.clear(inFlight)
 			c.inFlight -= int64(c.wireSize(seq))
 		}
 	}
@@ -713,7 +736,7 @@ func (c *Conn) advanceLowestUnacked() {
 	moved := false
 	for c.lowestUnacked < int64(len(c.state)) {
 		st := &c.state[c.lowestUnacked]
-		if st.acked || st.dontCare {
+		if st.is(acked | dontCare) {
 			c.lowestUnacked++
 			moved = true
 			continue
@@ -737,7 +760,7 @@ func (c *Conn) maybeFastRetransmit(info AckInfo) {
 		return
 	}
 	st := &c.state[low]
-	if !st.sent || st.acked || st.dontCare || st.lossPending || !st.inFlight {
+	if !st.is(sent) || st.is(acked|dontCare|lossPending) || !st.is(inFlight) {
 		return
 	}
 	if info.SentAt < st.sentAt {
@@ -748,8 +771,8 @@ func (c *Conn) maybeFastRetransmit(info AckInfo) {
 		return
 	}
 	c.acksAboveLow = 0
-	st.inFlight = false
-	st.lossPending = true
+	st.clear(inFlight)
+	st.set(lossPending)
 	c.inFlight -= int64(c.wireSize(low))
 	c.stats.FastRetrans++
 	c.rtxQ = append(c.rtxQ, low)
@@ -773,14 +796,14 @@ func (c *Conn) rackSweep() {
 	}
 	for seq := c.lowestUnacked; seq < c.lossScanEnd(); seq++ {
 		st := &c.state[seq]
-		if st.acked || st.dontCare || st.lossPending {
+		if st.is(acked | dontCare | lossPending) {
 			continue
 		}
-		if !st.inFlight || st.sentAt+win >= c.maxAckedSent {
+		if !st.is(inFlight) || st.sentAt+win >= c.maxAckedSent {
 			break
 		}
-		st.inFlight = false
-		st.lossPending = true
+		st.clear(inFlight)
+		st.set(lossPending)
 		c.inFlight -= int64(c.wireSize(seq))
 		c.stats.FastRetrans++
 		c.rtxQ = append(c.rtxQ, seq)
@@ -795,10 +818,10 @@ func (c *Conn) handleNack(p *netsim.Packet) {
 	}
 	c.stats.NacksReceived++
 	b := p.NackBlock
-	if b < 0 || int(b) >= len(c.blocks) || c.blockSatisfied[b] {
+	if b < 0 || int64(b) >= c.sched.blocks() || c.blockSatisfied[b] {
 		return
 	}
-	blk := c.blocks[b]
+	blk := c.sched.block(int64(b))
 	if c.fountain != nil {
 		// Rateless recovery: never retransmit the exact missing packets —
 		// mint fresh repair symbols instead. Any innovative symbol
@@ -827,14 +850,14 @@ func (c *Conn) handleNack(p *netsim.Packet) {
 			continue
 		}
 		st := &c.state[seq]
-		if st.acked || st.dontCare || !st.sent || st.lossPending {
+		if st.is(acked|dontCare|lossPending) || !st.is(sent) {
 			continue
 		}
-		if st.inFlight {
-			st.inFlight = false
+		if st.is(inFlight) {
+			st.clear(inFlight)
 			c.inFlight -= int64(c.wireSize(seq))
 		}
-		st.lossPending = true
+		st.set(lossPending)
 		c.rtxQ = append(c.rtxQ, seq)
 	}
 	c.cc.OnNack(c)

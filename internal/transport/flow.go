@@ -13,6 +13,7 @@ package transport
 
 import (
 	"fmt"
+	"math"
 
 	"uno/internal/ec"
 	"uno/internal/eventq"
@@ -116,6 +117,12 @@ func (p Params) validate() error {
 	if p.EC.Data < 0 || p.EC.Parity < 0 {
 		return fmt.Errorf("transport: invalid EC config %+v", p.EC)
 	}
+	// Block indices travel in the int16 BlockIdx header field; a larger
+	// block would wrap them and corrupt block accounting at both ends.
+	if p.EC.Data > math.MaxInt16 || p.EC.Parity > math.MaxInt16-p.EC.Data {
+		return fmt.Errorf("transport: EC block of %d+%d packets exceeds %d",
+			p.EC.Data, p.EC.Parity, math.MaxInt16)
+	}
 	if p.EC.Fountain() && p.EC.Data > ec.MaxFountainData {
 		return fmt.Errorf("transport: fountain EC supports at most %d data packets per block, got %d",
 			ec.MaxFountainData, p.EC.Data)
@@ -123,9 +130,9 @@ func (p Params) validate() error {
 	return nil
 }
 
-// pktDesc is one entry of a flow's static transmission schedule: the
-// sequence space covers data packets and, with EC enabled, the interleaved
-// parity packets of each block.
+// pktDesc is one entry of a flow's transmission schedule: the sequence
+// space covers data packets and, with EC enabled, the interleaved parity
+// packets of each block.
 type pktDesc struct {
 	payload  int   // payload bytes (0 for parity packets' accounting, see wire)
 	wire     int   // bytes on the wire
@@ -141,65 +148,83 @@ type blockDesc struct {
 	dataCount int16 // packets required to decode (= data packets)
 }
 
-// buildSchedule constructs the deterministic transmission schedule for a
-// flow: both endpoints derive it independently, so no control handshake is
-// needed. Without EC the schedule is ceil(size/MTU) data packets. With EC,
-// data packets are grouped into blocks of EC.Data and each block is
-// followed by EC.Parity parity packets sized like the block's largest
-// payload.
-func buildSchedule(size int64, p Params) ([]pktDesc, []blockDesc) {
+// schedule is a flow's static transmission schedule in closed form. Both
+// endpoints derive it independently from the flow size, the MTU and the EC
+// configuration, so no control handshake is needed, and neither end
+// materializes it: entries and blocks are computed on demand.
+//
+// Without EC the schedule is ceil(size/MTU) data packets. With EC, data
+// packets are grouped into blocks of EC.Data and each block is followed by
+// EC.Parity parity packets sized like the block's largest payload. Every
+// block but the last is full, so block b starts at b*(EC.Data+EC.Parity).
+type schedule struct {
+	n           int64 // static entries (data + parity)
+	nData       int64 // data packets
+	mtu         int
+	lastPayload int   // payload of the final data packet
+	x, y        int64 // EC data and parity packets per block; x == 0 without EC
+}
+
+// newSchedule derives the schedule of a size-byte flow. A flow of at most
+// zero bytes still sends one 1-byte packet.
+func newSchedule(size int64, p Params) schedule {
 	if size <= 0 {
 		size = 1
 	}
 	mtu := int64(p.MTU)
 	nData := (size + mtu - 1) / mtu
-	lastPayload := int(size - (nData-1)*mtu)
-
-	if !p.EC.Enabled() {
-		descs := make([]pktDesc, nData)
-		for i := int64(0); i < nData; i++ {
-			payload := p.MTU
-			if i == nData-1 {
-				payload = lastPayload
-			}
-			descs[i] = pktDesc{payload: payload, wire: payload + HeaderSize, block: -1, blockIdx: -1}
-		}
-		return descs, nil
+	s := schedule{n: nData, nData: nData, mtu: p.MTU, lastPayload: int(size - (nData-1)*mtu)}
+	if p.EC.Enabled() {
+		s.x, s.y = int64(p.EC.Data), int64(p.EC.Parity)
+		s.n += s.blocks() * s.y
 	}
+	return s
+}
 
-	x, y := int64(p.EC.Data), int64(p.EC.Parity)
-	nBlocks := (nData + x - 1) / x
-	descs := make([]pktDesc, 0, nData+nBlocks*y)
-	blocks := make([]blockDesc, 0, nBlocks)
-	dataLeft := nData
-	for b := int64(0); b < nBlocks; b++ {
-		d := x
-		if dataLeft < d {
-			d = dataLeft
-		}
-		dataLeft -= d
-		start := int64(len(descs))
-		maxPayload := 0
-		for i := int64(0); i < d; i++ {
-			payload := p.MTU
-			if b*x+i == nData-1 {
-				payload = lastPayload
-			}
-			if payload > maxPayload {
-				maxPayload = payload
-			}
-			descs = append(descs, pktDesc{
-				payload: payload, wire: payload + HeaderSize,
-				block: int32(b), blockIdx: int16(i),
-			})
-		}
-		for j := int64(0); j < y; j++ {
-			descs = append(descs, pktDesc{
-				payload: 0, wire: maxPayload + HeaderSize,
-				block: int32(b), blockIdx: int16(d + j), parity: true,
-			})
-		}
-		blocks = append(blocks, blockDesc{start: start, count: int16(d + y), dataCount: int16(d)})
+// blocks returns the number of EC blocks (0 without EC).
+func (s *schedule) blocks() int64 {
+	if s.x == 0 {
+		return 0
 	}
-	return descs, blocks
+	return (s.nData + s.x - 1) / s.x
+}
+
+// blockData returns the number of data packets in block b.
+func (s *schedule) blockData(b int64) int64 {
+	if d := s.nData - b*s.x; d < s.x {
+		return d
+	}
+	return s.x
+}
+
+// maxPayload returns the largest payload in block b: a full MTU unless the
+// block's only data packet is the flow's last.
+func (s *schedule) maxPayload(b int64) int {
+	if b*s.x == s.nData-1 {
+		return s.lastPayload
+	}
+	return s.mtu
+}
+
+// block returns the layout of EC block b, 0 <= b < blocks().
+func (s *schedule) block(b int64) blockDesc {
+	d := s.blockData(b)
+	return blockDesc{start: b * (s.x + s.y), count: int16(d + s.y), dataCount: int16(d)}
+}
+
+// at returns schedule entry seq, 0 <= seq < n.
+func (s *schedule) at(seq int64) pktDesc {
+	k, block, idx := seq, int32(-1), int16(-1) // k: index among data packets
+	if s.x != 0 {
+		b, i := seq/(s.x+s.y), seq%(s.x+s.y)
+		if i >= s.blockData(b) {
+			return pktDesc{wire: s.maxPayload(b) + HeaderSize, block: int32(b), blockIdx: int16(i), parity: true}
+		}
+		k, block, idx = b*s.x+i, int32(b), int16(i)
+	}
+	payload := s.mtu
+	if k == s.nData-1 {
+		payload = s.lastPayload
+	}
+	return pktDesc{payload: payload, wire: payload + HeaderSize, block: block, blockIdx: idx}
 }

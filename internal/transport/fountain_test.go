@@ -93,7 +93,7 @@ func TestFountainLosslessMatchesRS(t *testing.T) {
 	if st.PktsRetrans != 0 || st.NacksReceived != 0 {
 		t.Fatalf("lossless fountain run retransmitted: %+v", st)
 	}
-	if got := int64(len(conn.sched)); st.PktsSent != uint64(got) {
+	if got := conn.TotalPkts(); st.PktsSent != uint64(got) {
 		t.Fatalf("sent %d packets, schedule has %d", st.PktsSent, got)
 	}
 	for b := range conn.extraSeqs {
@@ -203,7 +203,7 @@ func TestFountainAdaptiveRedundancy(t *testing.T) {
 	conn := newConn(d.epA, flow, params, &FixedWindow{Window: 1 << 20}, &FixedEntropy{}, nil)
 
 	// adaptiveRepair solves n(1-p) >= dataCount.
-	blk := conn.blocks[0]
+	blk := conn.sched.block(0)
 	conn.lossEWMA = 0
 	if got := conn.adaptiveRepair(blk); got != 0 {
 		t.Fatalf("extra repair at zero loss = %d", got)
@@ -219,24 +219,24 @@ func TestFountainAdaptiveRedundancy(t *testing.T) {
 
 	// appendRepair coherence: new entries land past the static schedule,
 	// on the rtxQ, with fresh ids and parity sizing.
-	before := len(conn.sched)
+	before := len(conn.state)
 	conn.appendRepair(0, 3)
-	if len(conn.sched) != before+3 || len(conn.state) != before+3 {
-		t.Fatalf("schedule grew %d, want 3", len(conn.sched)-before)
+	if len(conn.minted) != 3 || len(conn.state) != before+3 {
+		t.Fatalf("schedule grew %d, want 3", len(conn.state)-before)
 	}
 	if len(conn.extraSeqs[0]) != 3 || len(conn.rtxQ) != 3 {
 		t.Fatalf("bookkeeping wrong: extra=%d rtxQ=%d", len(conn.extraSeqs[0]), len(conn.rtxQ))
 	}
 	wantID := blk.count
 	for i, seq := range conn.extraSeqs[0] {
-		e := conn.sched[seq]
+		e := conn.desc(seq)
 		if e.block != 0 || !e.parity || e.blockIdx != wantID+int16(i) {
 			t.Fatalf("appended entry %d wrong: %+v", i, e)
 		}
 		if e.wire != conn.params.MTU+HeaderSize {
 			t.Fatalf("appended wire size %d", e.wire)
 		}
-		if st := conn.state[seq]; !st.lossPending || st.sent {
+		if st := conn.state[seq]; !st.is(lossPending) || st.is(sent) {
 			t.Fatalf("appended state wrong: %+v", st)
 		}
 	}

@@ -29,17 +29,16 @@ type Receiver struct {
 	flow   *Flow
 	params Params
 
-	sched    []pktDesc
-	got      []uint64 // arrival bitmap over the schedule
+	sched    schedule
+	got      []uint64 // arrival bitmap over the static schedule
 	gotCount int64    // distinct packets received
 	dataGot  int64    // distinct data (non-parity) packets received
-	nData    int64    // total data packets in the schedule
 	blocks   []rcvBlock
 
 	// Rateless (fountain) receiver state; nil under SchemeRS. Under the
 	// fountain scheme a block completes when its rank decoder spans the
 	// source space, and repair symbols appended past the static schedule
-	// (seq >= len(sched)) are accepted using their header's Block/BlockIdx.
+	// (seq >= sched.n) are accepted using their header's Block/BlockIdx.
 	fountain *ec.Fountain
 	decs     []*ec.FountainDecoder
 	gotExtra map[int64]struct{} // arrivals beyond the static schedule
@@ -58,22 +57,18 @@ type Receiver struct {
 const maxBlockNacks = 8
 
 func newReceiver(ep *Endpoint, flow *Flow, params Params) *Receiver {
-	sched, blockDescs := buildSchedule(flow.Size, params)
+	sched := newSchedule(flow.Size, params)
 	r := &Receiver{
 		ep:     ep,
 		flow:   flow,
 		params: params,
 		sched:  sched,
-		got:    make([]uint64, (len(sched)+63)/64),
+		got:    make([]uint64, (sched.n+63)/64),
 	}
-	for _, d := range sched {
-		if !d.parity {
-			r.nData++
-		}
-	}
-	if len(blockDescs) > 0 {
-		r.blocks = make([]rcvBlock, len(blockDescs))
-		for i, b := range blockDescs {
+	if nb := sched.blocks(); nb > 0 {
+		r.blocks = make([]rcvBlock, nb)
+		for i := range r.blocks {
+			b := sched.block(int64(i))
 			r.blocks[i] = rcvBlock{dataCount: b.dataCount, count: b.count}
 		}
 	}
@@ -116,8 +111,8 @@ func (r *Receiver) handleData(p *netsim.Packet) {
 	}
 	block, blockIdx, parity := int32(-1), int16(-1), false
 	switch {
-	case seq < int64(len(r.sched)):
-		d := &r.sched[seq]
+	case seq < r.sched.n:
+		d := r.sched.at(seq)
 		block, blockIdx, parity = d.block, d.blockIdx, d.parity
 	case r.fountain != nil && p.IsParity && p.Block >= 0 &&
 		int(p.Block) < len(r.blocks) && p.BlockIdx >= 0:
@@ -152,7 +147,7 @@ func (r *Receiver) handleData(p *netsim.Packet) {
 	}
 
 	fresh := false
-	if seq < int64(len(r.sched)) {
+	if seq < r.sched.n {
 		if !r.has(seq) {
 			r.set(seq)
 			fresh = true
@@ -274,7 +269,7 @@ func (r *Receiver) onBlockTimeout(b int32) {
 			}
 		}
 	} else {
-		start := r.blockStart(b)
+		start := r.sched.block(int64(b)).start
 		for i := int16(0); i < blk.count; i++ {
 			if !r.has(start + int64(i)) {
 				missing = append(missing, i)
@@ -306,14 +301,6 @@ func (r *Receiver) onBlockTimeout(b int32) {
 	r.armBlockTimer(b, backoff)
 }
 
-// blockStart returns the first schedule index of block b.
-func (r *Receiver) blockStart(b int32) int64 {
-	// Blocks are laid out contiguously; all but the last have
-	// EC.Data+EC.Parity entries.
-	full := int64(r.params.EC.Data + r.params.EC.Parity)
-	return int64(b) * full
-}
-
 // checkComplete evaluates whether the message is fully reconstructable.
 func (r *Receiver) checkComplete() {
 	if r.complete {
@@ -325,7 +312,7 @@ func (r *Receiver) checkComplete() {
 				return
 			}
 		}
-	} else if r.dataGot < r.nData {
+	} else if r.dataGot < r.sched.nData {
 		return
 	}
 	r.complete = true

@@ -26,7 +26,7 @@ func TestBuildScheduleProperty(t *testing.T) {
 			}
 		}
 		p = p.withDefaults()
-		descs, blocks := buildSchedule(size, p)
+		descs, blocks := expand(newSchedule(size, p))
 
 		var payload int64
 		for _, d := range descs {
@@ -84,22 +84,24 @@ func TestBuildScheduleProperty(t *testing.T) {
 func TestReceiverSenderScheduleAgreement(t *testing.T) {
 	f := func(sizeRaw uint32, useEC bool) bool {
 		size := int64(sizeRaw%(1<<20)) + 1
-		p := Params{MTU: 4096}
+		d := newDumbbell(1, gbps100)
+		p := d.baseParams()
 		if useEC {
 			p.EC = ECConfig{Data: 8, Parity: 2, BlockTimeout: eventq.Millisecond}
 		}
-		p = p.withDefaults()
-		a, ab := buildSchedule(size, p)
-		b, bb := buildSchedule(size, p)
-		if len(a) != len(b) || len(ab) != len(bb) {
+		flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: size}
+		conn := MustOpen(d.epA, d.epB, flow, p, &FixedWindow{}, &FixedEntropy{}, nil)
+		rcv := d.epB.Receiver(1)
+		if conn.sched != rcv.sched || int64(len(conn.state)) != rcv.sched.n {
 			return false
 		}
-		for i := range a {
-			if a[i] != b[i] {
+		for b := range rcv.blocks {
+			blk := conn.sched.block(int64(b))
+			if blk.count != rcv.blocks[b].count || blk.dataCount != rcv.blocks[b].dataCount {
 				return false
 			}
 		}
-		return true
+		return int64(len(rcv.blocks)) == conn.sched.blocks()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -137,7 +137,7 @@ func TestECWholeScheduleAccounting(t *testing.T) {
 	// The schedule's wire bytes must equal payload + parity + headers.
 	p := Params{MTU: 4096, EC: ECConfig{Data: 8, Parity: 2, BlockTimeout: eventq.Millisecond}}.withDefaults()
 	size := int64(80 * 4096) // 10 full blocks
-	descs, blocks := buildSchedule(size, p)
+	descs, blocks := expand(newSchedule(size, p))
 	if len(blocks) != 10 || len(descs) != 100 {
 		t.Fatalf("schedule %d descs %d blocks", len(descs), len(blocks))
 	}

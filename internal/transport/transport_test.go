@@ -88,7 +88,7 @@ func (d *dumbbell) run(flow *Flow, params Params, cc CongestionControl, lb PathS
 
 func TestBuildScheduleNoEC(t *testing.T) {
 	p := Params{MTU: 1000}.withDefaults()
-	descs, blocks := buildSchedule(2500, p)
+	descs, blocks := expand(newSchedule(2500, p))
 	if blocks != nil {
 		t.Fatal("blocks without EC")
 	}
@@ -115,11 +115,11 @@ func TestBuildScheduleNoEC(t *testing.T) {
 
 func TestBuildScheduleTinyFlow(t *testing.T) {
 	p := Params{MTU: 4096}.withDefaults()
-	descs, _ := buildSchedule(1, p)
+	descs, _ := expand(newSchedule(1, p))
 	if len(descs) != 1 || descs[0].payload != 1 {
 		t.Fatalf("tiny flow schedule wrong: %+v", descs)
 	}
-	descs, _ = buildSchedule(0, p)
+	descs, _ = expand(newSchedule(0, p))
 	if len(descs) != 1 {
 		t.Fatal("zero-size flow must still send one packet")
 	}
@@ -128,7 +128,7 @@ func TestBuildScheduleTinyFlow(t *testing.T) {
 func TestBuildScheduleEC(t *testing.T) {
 	p := Params{MTU: 1000, EC: ECConfig{Data: 4, Parity: 2, BlockTimeout: eventq.Millisecond}}.withDefaults()
 	// 10 data packets → blocks of 4+2, 4+2, 2+2.
-	descs, blocks := buildSchedule(10000, p)
+	descs, blocks := expand(newSchedule(10000, p))
 	if len(blocks) != 3 {
 		t.Fatalf("blocks = %d, want 3", len(blocks))
 	}

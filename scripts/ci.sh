@@ -19,6 +19,12 @@ go build ./...
 echo "== go vet ./... =="
 go vet ./...
 
+# The benchmark (simbench/) is a module of its own, so the ./... patterns
+# above never compile it; vet and test it explicitly.
+echo "== simbench module: go vet, go test -short =="
+go -C simbench vet ./...
+go -C simbench test -short ./...
+
 echo "== go test ./... (with coverage profile) =="
 go test -coverprofile=coverage.out ./...
 
@@ -100,13 +106,15 @@ go test -race -count=1 \
 
 # The EC block-path regression suite — satisfyBlock release accounting
 # under stale/hostile AckBlock, NACK-exhaustion no-rearm, tail-block
-# schedule accounting, and the fountain transport path (minted repair
-# symbols, adaptive redundancy, hostile dynamic-seq headers) — runs
-# explicitly with caching disabled so a transport change can never ride a
-# stale cache entry through the full -race sweep below.
+# schedule accounting, the closed-form schedule against its materialized
+# oracle (minted entries, the 16 B pktState, the per-flow allocation
+# budget, the int16 block-size bound), and the fountain transport path
+# (minted repair symbols, adaptive redundancy, hostile dynamic-seq
+# headers) — runs explicitly with caching disabled so a transport change
+# can never ride a stale cache entry through the full -race sweep below.
 echo "== EC block-path regressions, -race -count=1 =="
 go test -race -count=1 \
-    -run 'TestFountain|TestSatisfyBlock|TestBlockNack|TestBlockCompletion|TestAckBlockOutOfRange|TestTailBlock|TestRSTailBlock|TestGilbertElliottDegenerateParams' \
+    -run 'TestFountain|TestSatisfyBlock|TestBlockNack|TestBlockCompletion|TestAckBlockOutOfRange|TestTailBlock|TestRSTailBlock|TestScheduleMatchesOracle|TestScheduleMintedEntries|TestPktStateSize|TestOpenAllocBudget|TestOpenRejectsOversizedECBlock|TestGilbertElliottDegenerateParams' \
     ./internal/transport/ ./internal/failure/
 
 # Native fuzz targets, briefly: the differential scheduler fuzzer, the
