@@ -26,6 +26,8 @@ FUZZTIME ?= 60s
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzSchedulerOps$$' -fuzztime $(FUZZTIME) ./internal/eventq/
 	go test -run '^$$' -fuzz '^FuzzReceiverPacket$$' -fuzztime $(FUZZTIME) ./internal/transport/
+	go test -run '^$$' -fuzz '^FuzzScoreboard$$' -fuzztime $(FUZZTIME) ./internal/transport/
+	go test -run '^$$' -fuzz '^FuzzFountainDecode$$' -fuzztime $(FUZZTIME) ./internal/ec/
 
 bench:
 	go test -bench . -benchtime 1x -run '^$$' ./...

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 
 	"uno/internal/eventq"
@@ -40,5 +41,40 @@ func TestSamplerTickAllocFree(t *testing.T) {
 		if series.Bins() == 0 {
 			t.Fatal("sampler recorded no bins")
 		}
+	}
+}
+
+// TestScheduleAllocsIndependentOfSpecCount: scheduling flow starts on the
+// classic engine allocates a fixed number of objects per call, not one
+// closure per flow. The scheduler's free list is warmed first, so event
+// slots come from it and the measurement sees only Schedule's own
+// allocations.
+func TestScheduleAllocsIndependentOfSpecCount(t *testing.T) {
+	allocs := func(n int) uint64 {
+		sim := MustNewSim(7, smallTopo(), StackUno())
+		sched := sim.Net.Sched
+		for i := 0; i < 2*n; i++ {
+			sched.ScheduleArg(sched.Now()+eventq.Microsecond, func(any) {}, nil)
+		}
+		sim.Drain()
+		hosts := len(sim.Topo.Hosts)
+		specs := make([]workload.FlowSpec, n)
+		for i := range specs {
+			// At least a microsecond out, past the level-0 wheel window,
+			// whose per-slot arrays would otherwise grow with n.
+			specs[i] = workload.FlowSpec{
+				Src: i % hosts, Dst: (i + 1) % hosts, Size: 4096,
+				Start: sched.Now() + eventq.Time(1+i%4)*eventq.Microsecond,
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sim.Schedule(specs)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	few, many := allocs(10), allocs(1000)
+	if many != few {
+		t.Fatalf("Schedule allocated %d objects for 1000 specs and %d for 10", many, few)
 	}
 }

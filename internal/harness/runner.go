@@ -7,6 +7,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"uno/internal/eventq"
 	"uno/internal/netsim"
@@ -240,30 +241,56 @@ func (s *Sim) IdealFCT(spec workload.FlowSpec) eventq.Time {
 // source host's shard.
 func (s *Sim) Schedule(specs []workload.FlowSpec) []*transport.Conn {
 	conns := make([]*transport.Conn, len(specs))
+	// Start events are fire-and-forget ScheduleArg events with a function
+	// bound once, so the scheduler recycles them and no flow allocates a
+	// closure; each sequence number is still taken here, in spec order.
 	if s.cluster != nil {
+		perShard := make([]int, len(s.shardResults))
 		for i, spec := range specs {
 			conn, shard := s.openFlow(spec, nil)
 			conns[i] = conn
 			s.shardPending[shard]++
-			s.Topo.Hosts[spec.Src].Network().Sched.Schedule(spec.Start, conn.Launch)
+			perShard[shard]++
+			s.Topo.Hosts[spec.Src].Network().Sched.ScheduleArg(spec.Start, launchConn, conn)
+		}
+		for shard, n := range perShard {
+			s.shardResults[shard] = slices.Grow(s.shardResults[shard], n)
 		}
 		s.conns = append(s.conns, conns...)
 		return conns
 	}
-	// The start closures fill both the returned slice and this Sim's own
+	// The start events fill both the returned slice and this Sim's own
 	// record, which holds copies of the still-nil slots until then.
 	base := len(s.conns)
 	s.conns = append(s.conns, conns...)
+	s.results = slices.Grow(s.results, len(specs))
+	starts := make([]flowStart, len(specs))
 	for i, spec := range specs {
-		i, spec := i, spec
+		starts[i] = flowStart{s: s, spec: spec, out: &conns[i], idx: base + i}
 		s.pending++
-		s.Net.Sched.Schedule(spec.Start, func() {
-			conns[i] = s.startFlow(spec)
-			s.conns[base+i] = conns[i]
-		})
+		s.Net.Sched.ScheduleArg(spec.Start, startScheduled, &starts[i])
 	}
 	return conns
 }
+
+// flowStart is one flow Schedule starts on the classic engine.
+type flowStart struct {
+	s    *Sim
+	spec workload.FlowSpec
+	out  **transport.Conn // the slot in the slice Schedule returned
+	idx  int              // the slot in s.conns
+}
+
+// startScheduled starts a *flowStart's flow and records its connection.
+func startScheduled(a any) {
+	f := a.(*flowStart)
+	conn := f.s.startFlow(f.spec)
+	*f.out = conn
+	f.s.conns[f.idx] = conn
+}
+
+// launchConn launches a *transport.Conn opened at setup.
+func launchConn(a any) { a.(*transport.Conn).Launch() }
 
 // StartFlow implements collective.Starter: it launches a transfer right
 // now and invokes onDone at completion (in addition to the normal result

@@ -17,9 +17,9 @@ import (
 func assertInFlightConsistent(t *testing.T, conn *Conn) {
 	t.Helper()
 	var want int64
-	for seq := range conn.state {
-		if conn.state[seq].is(inFlight) {
-			want += int64(conn.wireSize(int64(seq)))
+	for seq := int64(0); seq < conn.sb.total(); seq++ {
+		if conn.sb.get(seq).is(inFlight) {
+			want += int64(conn.wireSize(seq))
 		}
 	}
 	if conn.inFlight != want {
@@ -139,7 +139,7 @@ func TestSatisfyBlockThenStaleAck(t *testing.T) {
 
 	// Declare seq 1 lost exactly the way onRTO does: released from the
 	// window, queued for retransmission, not yet re-sent.
-	st := &conn.state[1]
+	st := conn.sb.at(1)
 	if !st.is(inFlight) {
 		t.Fatal("seq 1 not in flight")
 	}
@@ -152,7 +152,7 @@ func TestSatisfyBlockThenStaleAck(t *testing.T) {
 	conn.satisfyBlock(0)
 	blk := conn.sched.block(0)
 	for seq := blk.start; seq < blk.start+int64(blk.count); seq++ {
-		s := conn.state[seq]
+		s := conn.sb.get(seq)
 		if !s.is(dontCare) || s.is(inFlight|lossPending) {
 			t.Fatalf("seq %d not released: %+v", seq, s)
 		}
@@ -202,7 +202,7 @@ func TestSatisfyBlockThenRTO(t *testing.T) {
 	d.net.Sched.RunUntil(5 * eventq.Millisecond)
 	blk := conn.sched.block(0)
 	for seq := blk.start; seq < blk.start+int64(blk.count); seq++ {
-		s := conn.state[seq]
+		s := conn.sb.get(seq)
 		if s.is(lossPending | inFlight) {
 			t.Fatalf("satisfied seq %d re-declared: %+v", seq, s)
 		}

@@ -10,8 +10,8 @@ import (
 	"uno/internal/rng"
 )
 
-// pktState tracks one schedule entry at the sender. It is the sender's
-// only per-packet state, so it is kept at 16 bytes (TestPktStateSize).
+// pktState tracks one schedule entry at the sender. The scoreboard keeps
+// one per outstanding entry, so it is kept at 16 bytes (TestPktStateSize).
 type pktState struct {
 	sentAt   eventq.Time
 	entropy  uint32
@@ -32,7 +32,7 @@ const (
 )
 
 // is reports whether any flag of f is set.
-func (s *pktState) is(f pktFlags) bool { return s.flags&f != 0 }
+func (s pktState) is(f pktFlags) bool { return s.flags&f != 0 }
 
 // set raises the flags of f.
 func (s *pktState) set(f pktFlags) { s.flags |= f }
@@ -68,7 +68,7 @@ type Conn struct {
 	// minted holds the fountain repair entries appended past the static
 	// schedule: entry seq >= sched.n lives at minted[seq-sched.n].
 	minted []pktDesc
-	state  []pktState // one per schedule entry, static and minted
+	sb     scoreboard // per-entry sender state, static and minted
 
 	nextNew  int64   // next never-sent schedule index
 	rtxQ     []int64 // retransmission queue (schedule indices)
@@ -130,7 +130,6 @@ func newConn(ep *Endpoint, flow *Flow, params Params, cc CongestionControl, lb P
 		cc:     cc,
 		lb:     lb,
 		sched:  sched,
-		state:  make([]pktState, sched.n),
 		cwnd:   params.InitialCwnd,
 		onDone: onDone,
 	}
@@ -138,6 +137,7 @@ func newConn(ep *Endpoint, flow *Flow, params Params, cc CongestionControl, lb P
 		c.blockAcked = make([]int16, nb)
 		c.blockSatisfied = make([]bool, nb)
 	}
+	c.sb = newScoreboard(sched, c.blockSatisfied)
 	if params.EC.Fountain() {
 		nb := sched.blocks()
 		c.fountain = ec.MustNewFountain(params.EC.Data, params.EC.Parity)
@@ -165,6 +165,8 @@ func (c *Conn) Launch() {
 	c.cc.Init(c)
 	c.lb.Init(c)
 	c.running = true
+	// The first window, as the controller just set it, goes out now.
+	c.sb.reserve(max(1, int64(c.cwnd)/int64(c.MTUWire())))
 	c.trySend()
 }
 
@@ -235,7 +237,7 @@ func (c *Conn) MTUWire() int { return c.params.MTU + HeaderSize }
 
 // TotalPkts returns the schedule length (data + parity packets, including
 // minted fountain repair entries).
-func (c *Conn) TotalPkts() int64 { return int64(len(c.state)) }
+func (c *Conn) TotalPkts() int64 { return c.sb.total() }
 
 // ---- sending ----
 
@@ -255,14 +257,13 @@ func (c *Conn) wireSize(seq int64) int { return c.desc(seq).wire }
 func (c *Conn) nextToSend() int64 {
 	for len(c.rtxQ) > 0 {
 		seq := c.rtxQ[0]
-		st := &c.state[seq]
-		if st.is(acked|dontCare|inFlight) || !st.is(lossPending) {
+		if st := c.sb.get(seq); st.is(acked|dontCare|inFlight) || !st.is(lossPending) {
 			c.rtxQ = c.rtxQ[1:]
 			continue
 		}
 		return seq
 	}
-	for c.nextNew < int64(len(c.state)) {
+	for c.nextNew < c.sb.total() {
 		seq := c.nextNew
 		// Skip don't-care entries, plus entries the fresh-packet cursor
 		// does not own: fountain-appended repair symbols are dispatched
@@ -270,7 +271,7 @@ func (c *Conn) nextToSend() int64 {
 		// afterwards), so the cursor steps over them. Fixed schedules
 		// never mark an entry past nextNew sent or lossPending, so this
 		// is behavior-identical under SchemeRS.
-		if st := &c.state[seq]; st.is(dontCare | sent | lossPending) {
+		if st := c.sb.get(seq); st.is(dontCare | sent | lossPending) {
 			c.nextNew++
 			continue
 		}
@@ -327,7 +328,7 @@ func (c *Conn) armSendEvent(at eventq.Time) {
 // transmit puts schedule entry seq on the wire.
 func (c *Conn) transmit(seq int64) {
 	d := c.desc(seq)
-	st := &c.state[seq]
+	st := c.sb.at(seq)
 	p := c.ep.host.Network().AllocPacket()
 	p.Type = netsim.Data
 	p.Flow = c.flow.ID
@@ -374,7 +375,7 @@ func (c *Conn) transmit(seq int64) {
 	c.flow.Src.Send(p)
 	// p.IsRtx captured the sent flag before this transmission, so !p.IsRtx
 	// means the entry just went out for the first time. appendRepair may
-	// grow c.minted/c.state; st is not touched past this point.
+	// grow c.minted and the scoreboard; st is not touched past this point.
 	if c.fountain != nil && !p.IsRtx && d.parity && d.block >= 0 {
 		c.maybeProactiveRepair(d.block, seq)
 	}
@@ -447,11 +448,11 @@ func (c *Conn) appendRepair(b int32, n int) {
 			return
 		}
 		c.nextSymID[b] = id + 1
-		seq := int64(len(c.state))
+		seq := c.sb.total()
 		c.minted = append(c.minted, pktDesc{
 			payload: 0, wire: wire, block: b, blockIdx: id, parity: true,
 		})
-		c.state = append(c.state, pktState{flags: lossPending})
+		c.sb.mint()
 		c.extraSeqs[b] = append(c.extraSeqs[b], seq)
 		c.rtxQ = append(c.rtxQ, seq)
 	}
@@ -522,8 +523,7 @@ func (c *Conn) onRTO() {
 	var oldestAt eventq.Time
 	scanEnd := c.lossScanEnd()
 	for seq := c.lowestUnacked; seq < scanEnd; seq++ {
-		st := &c.state[seq]
-		if st.is(inFlight) && !st.is(acked|dontCare) {
+		if st := c.sb.get(seq); st.is(inFlight) && !st.is(acked|dontCare) {
 			if oldest < 0 || st.sentAt < oldestAt {
 				oldest, oldestAt = seq, st.sentAt
 			}
@@ -537,23 +537,20 @@ func (c *Conn) onRTO() {
 		cutoff := c.Now() - c.rto()
 		outstanding, declared := 0, 0
 		for seq := c.lowestUnacked; seq < scanEnd; seq++ {
-			st := &c.state[seq]
+			st := c.sb.get(seq)
 			if st.is(acked|dontCare|lossPending) || !st.is(inFlight) {
 				continue
 			}
 			outstanding++
 			if st.sentAt <= cutoff {
-				st.clear(inFlight)
-				st.set(lossPending)
-				c.inFlight -= int64(c.wireSize(seq))
-				c.rtxQ = append(c.rtxQ, seq)
+				c.markLost(seq)
 				declared++
 			}
 		}
 		if c.fountain != nil && declared > 0 {
 			c.noteLossSample(declared, outstanding)
 		}
-	case c.nextNew >= int64(len(c.state)) && len(c.rtxQ) == 0:
+	case c.nextNew >= c.sb.total() && len(c.rtxQ) == 0:
 		// Everything sent and acknowledged but no FlowDone: probe.
 		c.probeFinalAck()
 	}
@@ -565,7 +562,7 @@ func (c *Conn) onRTO() {
 
 // probeFinalAck re-sends the last schedule entry to solicit a FlowDone.
 func (c *Conn) probeFinalAck() {
-	seq := int64(len(c.state)) - 1
+	seq := c.sb.total() - 1
 	c.transmit(seq)
 }
 
@@ -583,7 +580,7 @@ func (c *Conn) handleAck(p *netsim.Packet) {
 	}
 
 	seq := p.AckSeq
-	if seq < 0 || seq >= int64(len(c.state)) {
+	if seq < 0 || seq >= c.sb.total() {
 		// Under the rateless scheme the receiver accepts dynamic repair
 		// symbols past its static schedule and echoes whatever sequence
 		// number the header carried, so a corrupt or hostile symbol can
@@ -596,7 +593,9 @@ func (c *Conn) handleAck(p *netsim.Packet) {
 		}
 		panic(fmt.Sprintf("transport: flow %d ack for bad seq %d", c.flow.ID, seq))
 	}
-	st := &c.state[seq]
+	// A copy: entries below the scoreboard's ring are finished and
+	// read-only, and every write below goes through at or ack.
+	st := c.sb.get(seq)
 
 	if p.EchoTrimmed {
 		// Fast loss notification: the packet's payload was trimmed at a
@@ -604,12 +603,7 @@ func (c *Conn) handleAck(p *netsim.Packet) {
 		// policies treat it as a congestion/path signal.
 		c.stats.TrimNotices++
 		if !st.is(acked | dontCare | lossPending) {
-			if st.is(inFlight) {
-				st.clear(inFlight)
-				c.inFlight -= int64(c.wireSize(seq))
-			}
-			st.set(lossPending)
-			c.rtxQ = append(c.rtxQ, seq)
+			c.markLost(seq)
 		}
 		c.cc.OnNack(c)
 		c.lb.OnNack(c)
@@ -641,12 +635,11 @@ func (c *Conn) handleAck(p *netsim.Packet) {
 	// in-flight accounting, including probes of already-acked packets.
 	d := c.desc(seq)
 	if st.is(inFlight) {
-		st.clear(inFlight)
+		c.sb.at(seq).clear(inFlight)
 		c.inFlight -= int64(d.wire)
 	}
 	if !st.is(acked) {
-		st.set(acked)
-		st.clear(lossPending)
+		c.sb.ack(seq)
 		info.Bytes = d.wire
 		c.stats.BytesAcked += int64(info.Bytes)
 		c.rtoBackoff = 0
@@ -714,10 +707,14 @@ func (c *Conn) satisfyBlock(b int32) {
 }
 
 // releaseDontCare marks the unfinished entries of [lo, hi) don't-care and
-// drops any still-in-flight ones from the window accounting.
+// drops any still-in-flight ones from the window accounting. Only entries
+// with written state need it: those below the scoreboard's ring are
+// finished, and never-written ones read as don't-care once their block is
+// satisfied.
 func (c *Conn) releaseDontCare(lo, hi int64) {
+	lo, hi = c.sb.written(lo, hi)
 	for seq := lo; seq < hi; seq++ {
-		st := &c.state[seq]
+		st := c.sb.at(seq)
 		if st.is(acked | dontCare) {
 			continue
 		}
@@ -734,9 +731,8 @@ func (c *Conn) releaseDontCare(lo, hi int64) {
 // packets.
 func (c *Conn) advanceLowestUnacked() {
 	moved := false
-	for c.lowestUnacked < int64(len(c.state)) {
-		st := &c.state[c.lowestUnacked]
-		if st.is(acked | dontCare) {
+	for c.lowestUnacked < c.sb.total() {
+		if st := c.sb.get(c.lowestUnacked); st.is(acked | dontCare) {
 			c.lowestUnacked++
 			moved = true
 			continue
@@ -745,6 +741,7 @@ func (c *Conn) advanceLowestUnacked() {
 	}
 	if moved {
 		c.acksAboveLow = 0
+		c.sb.release(c.lowestUnacked)
 	}
 }
 
@@ -756,10 +753,10 @@ func (c *Conn) advanceLowestUnacked() {
 // original window.
 func (c *Conn) maybeFastRetransmit(info AckInfo) {
 	low := c.lowestUnacked
-	if low >= int64(len(c.state)) || info.Seq <= low {
+	if low >= c.sb.total() || info.Seq <= low {
 		return
 	}
-	st := &c.state[low]
+	st := c.sb.get(low)
 	if !st.is(sent) || st.is(acked|dontCare|lossPending) || !st.is(inFlight) {
 		return
 	}
@@ -771,11 +768,8 @@ func (c *Conn) maybeFastRetransmit(info AckInfo) {
 		return
 	}
 	c.acksAboveLow = 0
-	st.clear(inFlight)
-	st.set(lossPending)
-	c.inFlight -= int64(c.wireSize(low))
+	c.markLost(low)
 	c.stats.FastRetrans++
-	c.rtxQ = append(c.rtxQ, low)
 }
 
 // rackSweep declares lost every leading outstanding packet whose last
@@ -795,19 +789,28 @@ func (c *Conn) rackSweep() {
 		win = c.params.BaseRTT / 4
 	}
 	for seq := c.lowestUnacked; seq < c.lossScanEnd(); seq++ {
-		st := &c.state[seq]
+		st := c.sb.get(seq)
 		if st.is(acked | dontCare | lossPending) {
 			continue
 		}
 		if !st.is(inFlight) || st.sentAt+win >= c.maxAckedSent {
 			break
 		}
-		st.clear(inFlight)
-		st.set(lossPending)
-		c.inFlight -= int64(c.wireSize(seq))
+		c.markLost(seq)
 		c.stats.FastRetrans++
-		c.rtxQ = append(c.rtxQ, seq)
 	}
+}
+
+// markLost declares unfinished entry seq lost: it leaves the in-flight
+// accounting if it was counted there and is queued for retransmission.
+func (c *Conn) markLost(seq int64) {
+	st := c.sb.at(seq)
+	if st.is(inFlight) {
+		st.clear(inFlight)
+		c.inFlight -= int64(c.wireSize(seq))
+	}
+	st.set(lossPending)
+	c.rtxQ = append(c.rtxQ, seq)
 }
 
 // handleNack processes a UnoRC block NACK: retransmit the listed missing
@@ -849,16 +852,11 @@ func (c *Conn) handleNack(p *netsim.Packet) {
 		if idx < 0 || seq >= blk.start+int64(blk.count) {
 			continue
 		}
-		st := &c.state[seq]
+		st := c.sb.get(seq)
 		if st.is(acked|dontCare|lossPending) || !st.is(sent) {
 			continue
 		}
-		if st.is(inFlight) {
-			st.clear(inFlight)
-			c.inFlight -= int64(c.wireSize(seq))
-		}
-		st.set(lossPending)
-		c.rtxQ = append(c.rtxQ, seq)
+		c.markLost(seq)
 	}
 	c.cc.OnNack(c)
 	c.lb.OnNack(c)

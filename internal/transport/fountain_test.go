@@ -219,10 +219,10 @@ func TestFountainAdaptiveRedundancy(t *testing.T) {
 
 	// appendRepair coherence: new entries land past the static schedule,
 	// on the rtxQ, with fresh ids and parity sizing.
-	before := len(conn.state)
+	before := conn.sb.total()
 	conn.appendRepair(0, 3)
-	if len(conn.minted) != 3 || len(conn.state) != before+3 {
-		t.Fatalf("schedule grew %d, want 3", len(conn.state)-before)
+	if len(conn.minted) != 3 || conn.sb.total() != before+3 {
+		t.Fatalf("schedule grew %d, want 3", conn.sb.total()-before)
 	}
 	if len(conn.extraSeqs[0]) != 3 || len(conn.rtxQ) != 3 {
 		t.Fatalf("bookkeeping wrong: extra=%d rtxQ=%d", len(conn.extraSeqs[0]), len(conn.rtxQ))
@@ -236,7 +236,7 @@ func TestFountainAdaptiveRedundancy(t *testing.T) {
 		if e.wire != conn.params.MTU+HeaderSize {
 			t.Fatalf("appended wire size %d", e.wire)
 		}
-		if st := conn.state[seq]; !st.is(lossPending) || st.is(sent) {
+		if st := conn.sb.get(seq); !st.is(lossPending) || st.is(sent) {
 			t.Fatalf("appended state wrong: %+v", st)
 		}
 	}

@@ -92,7 +92,7 @@ func TestReceiverSenderScheduleAgreement(t *testing.T) {
 		flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: size}
 		conn := MustOpen(d.epA, d.epB, flow, p, &FixedWindow{}, &FixedEntropy{}, nil)
 		rcv := d.epB.Receiver(1)
-		if conn.sched != rcv.sched || int64(len(conn.state)) != rcv.sched.n {
+		if conn.sched != rcv.sched || conn.sb.total() != rcv.sched.n {
 			return false
 		}
 		for b := range rcv.blocks {

@@ -49,7 +49,8 @@ esac
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-COMMIT="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+# A snapshot of an uncommitted tree records its base commit with -dirty.
+COMMIT="$(git describe --always --dirty --abbrev=7 2>/dev/null || echo unknown)"
 GOVER="$(go env GOVERSION)"
 CPUS="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
 MAXPROCS="${GOMAXPROCS:-$CPUS}"

@@ -108,25 +108,28 @@ go test -race -count=1 \
 # under stale/hostile AckBlock, NACK-exhaustion no-rearm, tail-block
 # schedule accounting, the closed-form schedule against its materialized
 # oracle (minted entries, the 16 B pktState, the per-flow allocation
-# budget, the int16 block-size bound), and the fountain transport path
+# budget, the int16 block-size bound), the ring scoreboard against its
+# dense oracle and its window bound, and the fountain transport path
 # (minted repair symbols, adaptive redundancy, hostile dynamic-seq
 # headers) — runs explicitly with caching disabled so a transport change
 # can never ride a stale cache entry through the full -race sweep below.
 echo "== EC block-path regressions, -race -count=1 =="
 go test -race -count=1 \
-    -run 'TestFountain|TestSatisfyBlock|TestBlockNack|TestBlockCompletion|TestAckBlockOutOfRange|TestTailBlock|TestRSTailBlock|TestScheduleMatchesOracle|TestScheduleMintedEntries|TestPktStateSize|TestOpenAllocBudget|TestOpenRejectsOversizedECBlock|TestGilbertElliottDegenerateParams' \
+    -run 'TestFountain|TestSatisfyBlock|TestBlockNack|TestBlockCompletion|TestAckBlockOutOfRange|TestTailBlock|TestRSTailBlock|TestScheduleMatchesOracle|TestScheduleMintedEntries|TestPktStateSize|TestOpenAllocBudget|TestOpenRejectsOversizedECBlock|TestScoreboardMatchesDense|FuzzScoreboard|TestSenderStateBoundedByWindow|TestGilbertElliottDegenerateParams' \
     ./internal/transport/ ./internal/failure/
 
 # Native fuzz targets, briefly: the differential scheduler fuzzer, the
 # transport packet-header fuzzer (which also drives the fountain receiver's
 # dynamic-arrival path — its corpus once held a sender panic on a hostile
-# echoed seq), and the fountain GF(2) decoder fuzzer each get a short
+# echoed seq), the ring-versus-dense sender scoreboard fuzzer, and the
+# fountain GF(2) decoder fuzzer each get a short
 # budget per CI run (the corpus accumulates in the build cache across
 # runs; crashes fail CI).
 FUZZTIME="${UNO_FUZZTIME:-10s}"
 echo "== fuzz smoke, -fuzztime $FUZZTIME each =="
 go test -run '^$' -fuzz '^FuzzSchedulerOps$' -fuzztime "$FUZZTIME" ./internal/eventq/
 go test -run '^$' -fuzz '^FuzzReceiverPacket$' -fuzztime "$FUZZTIME" ./internal/transport/
+go test -run '^$' -fuzz '^FuzzScoreboard$' -fuzztime "$FUZZTIME" ./internal/transport/
 go test -run '^$' -fuzz '^FuzzFountainDecode$' -fuzztime "$FUZZTIME" ./internal/ec/
 
 echo "== go test -race ./... =="
